@@ -19,9 +19,9 @@
 //!   from that same frame instead of keeping its own copy;
 //! * [`BatchScorer`] — the predictor's stump ensemble compiled once into
 //!   per-stump bin→score lookup tables, evaluated straight off the store's
-//!   lanes via [`BatchScorer::margins_gather_parallel`] (derived features
-//!   computed on the fly by the same `f32` arithmetic as the batch
-//!   `derive` pass), bit-identical to the serial per-row path;
+//!   lanes via [`BatchScorer::margins`] (derived features computed on the
+//!   fly by the same `f32` arithmetic as the batch `derive` pass),
+//!   bit-identical to the serial per-row path;
 //! * partial top-`B` selection — [`RankedPredictions::top_rows`] selects
 //!   the budgeted head without sorting the whole population.
 //!
@@ -313,7 +313,7 @@ impl<'a> WeeklyScorer<'a> {
                 frame.mul_restored(b, rows, out);
             }
         };
-        let margins = self.scorer.margins_gather_parallel(n_rows, self.shards, &fill);
+        let margins = self.scorer.margins(n_rows, self.shards, &fill);
         let probabilities = self.predictor.calibration().probabilities(&margins);
         let rows: Vec<RowKey> = self.lines.iter().map(|l| RowKey { line: l.id, day }).collect();
         RankedPredictions::from_scores(rows, probabilities, frame.labels_vec())

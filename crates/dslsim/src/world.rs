@@ -24,10 +24,10 @@
 //! `subseed(subseed(world_seed, subsystem), dslam_id)` — so the draw
 //! sequence behind any line depends only on its DSLAM, never on how many
 //! shards the plant happens to be split into. `step_day` steps shards on
-//! scoped threads, each writing tickets, notes, measurements, traffic and
-//! trace events into a private per-day buffer; the buffers are merged in
-//! shard order (= plant line order) with ticket ids renumbered at the
-//! merge. The one-shard path runs the identical buffer-and-merge code
+//! [`nevermind_obs::par`] workers, each writing tickets, notes,
+//! measurements, traffic and trace events into a private per-day buffer;
+//! the buffers are merged in shard order (= plant line order) with ticket
+//! ids renumbered at the merge. The one-shard path runs the identical buffer-and-merge code
 //! inline, which is what makes `--shards N` bit-identical to serial for
 //! every `N` (see `tests/sharding.rs`).
 
@@ -44,9 +44,11 @@ use crate::ticket::{Ticket, TicketCategory};
 use crate::topology::Topology;
 use crate::traffic::TrafficTable;
 use crate::weather::{ExogenousCalendar, CONSTRUCTION_MULTIPLIER, WET_MULTIPLIER};
+use nevermind_obs::par;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A customer call suppressed by the outage IVR (the call happened, the
 /// ticket did not — Sec. 5.2's first scenario).
@@ -341,17 +343,10 @@ fn fault_onset_prob(daily_rate: f64, total_hazard: f64, mean_base_hazard: f64) -
     (daily_rate * total_hazard / mean_base_hazard).clamp(0.0, 1.0)
 }
 
-/// Splits `n_dslams` DSLAMs into at most `n_shards` contiguous,
-/// near-equal, non-empty ranges.
-fn shard_bounds(n_dslams: usize, n_shards: usize) -> Vec<(usize, usize)> {
-    let k = n_shards.clamp(1, n_dslams.max(1));
-    (0..k).map(|s| (s * n_dslams / k, (s + 1) * n_dslams / k)).collect()
-}
-
 /// Carves the plant state into per-shard mutable slices along `bounds`.
 fn split_shards<'a>(
     topology: &Topology,
-    bounds: &[(usize, usize)],
+    bounds: &[Range<usize>],
     state: &'a mut PlantState,
 ) -> Vec<ShardMut<'a>> {
     let n_lines = topology.lines.len();
@@ -379,12 +374,12 @@ fn split_shards<'a>(
         }};
     }
     let mut shards = Vec::with_capacity(bounds.len());
-    for &(d0, d1) in bounds {
-        let first_line = line_at(d0);
-        let n_l = line_at(d1) - first_line;
-        let n_d = d1 - d0;
+    for dslams in bounds {
+        let first_line = line_at(dslams.start);
+        let n_l = line_at(dslams.end) - first_line;
+        let n_d = dslams.len();
         shards.push(ShardMut {
-            first_dslam: d0,
+            first_dslam: dslams.start,
             first_line,
             faults: take!(faults, n_l),
             aware_since: take!(aware_since, n_l),
@@ -919,7 +914,8 @@ impl World {
     }
 
     /// Advances the simulation by one day, stepping each shard on its own
-    /// scoped thread and merging the per-shard buffers in shard order.
+    /// [`nevermind_obs::par`] worker and merging the per-shard buffers in
+    /// shard order.
     ///
     /// # Panics
     /// Panics if stepped past the configured horizon.
@@ -942,21 +938,14 @@ impl World {
             day,
             trace: nevermind_obs::trace::enabled(),
         };
-        let bounds = shard_bounds(self.topology.dslams.len(), self.shards);
-        let mut bufs: Vec<DayBuffer> = bounds.iter().map(|_| DayBuffer::default()).collect();
-        let mut shards = split_shards(&self.topology, &bounds, &mut self.state);
-        if shards.len() == 1 {
-            // Same buffer-and-merge path as the threaded case, inline.
-            step_shard(&ctx, &mut shards[0], &mut bufs[0]);
-        } else {
-            let ctx = &ctx;
-            std::thread::scope(|scope| {
-                for (shard, buf) in shards.iter_mut().zip(bufs.iter_mut()) {
-                    scope.spawn(move || step_shard(ctx, shard, buf));
-                }
-            });
-        }
-        drop(shards);
+        let bounds = par::ranges(self.topology.dslams.len(), self.shards);
+        let shards = split_shards(&self.topology, &bounds, &mut self.state);
+        let ctx = &ctx;
+        let bufs = par::map(shards, |mut shard| {
+            let mut buf = DayBuffer::default();
+            step_shard(ctx, &mut shard, &mut buf);
+            buf
+        });
         self.merge_day(day, bufs);
         self.day += 1;
         // History snapshots are clocked on *simulated* days — the only time
@@ -1306,26 +1295,6 @@ mod tests {
             out.tickets.iter().filter(|t| t.category == TicketCategory::Outage).count();
         assert!(outage_tickets > 0, "outage tickets before the IVR");
         assert!(!out.ivr_calls.is_empty(), "IVR suppression engaged");
-    }
-
-    #[test]
-    fn shard_bounds_cover_and_clamp() {
-        assert_eq!(shard_bounds(10, 1), vec![(0, 10)]);
-        assert_eq!(shard_bounds(10, 3), vec![(0, 3), (3, 6), (6, 10)]);
-        // More shards than DSLAMs: clamp to one DSLAM per shard.
-        assert_eq!(shard_bounds(2, 7), vec![(0, 1), (1, 2)]);
-        assert_eq!(shard_bounds(0, 4), vec![(0, 0)]);
-        for n in [1usize, 5, 42, 100] {
-            for k in [1usize, 2, 7, 16] {
-                let b = shard_bounds(n, k);
-                assert_eq!(b[0].0, 0);
-                assert_eq!(b[b.len() - 1].1, n);
-                for w in b.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "contiguous");
-                    assert!(w[0].0 < w[0].1, "non-empty");
-                }
-            }
-        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! Both phases shard by contiguous line ranges
 //! ([`IncrementalEncoder::ingest_sharded`],
 //! [`IncrementalEncoder::encode_day_cols_sharded`]): per-line state is
-//! independent, so each scoped thread owns a disjoint slice of it and
-//! writes a disjoint slice of the output — the serial and sharded paths
-//! run the identical per-line routine, which keeps every shard count
+//! independent, so each [`nevermind_obs::par`] worker owns a disjoint slice
+//! of it and writes a disjoint slice of the output — the serial and sharded
+//! paths run the identical per-line routine, which keeps every shard count
 //! bit-identical.
 
 use crate::encode::{days_since_ticket, fill_row_except_ts, EncodedDataset, EncoderConfig, RowKey};
@@ -37,6 +37,7 @@ use crate::BaseEncoder;
 use nevermind_dslsim::topology::Line;
 use nevermind_dslsim::{LineId, LineTest, Ticket, N_METRICS};
 use nevermind_ml::data::{Dataset, FeatureMatrix};
+use nevermind_obs::par;
 use std::collections::VecDeque;
 
 /// Per-line rolling state.
@@ -176,8 +177,8 @@ impl<'a> IncrementalEncoder<'a> {
         self.ingest_sharded(measurements, tickets, 1);
     }
 
-    /// [`IncrementalEncoder::ingest`] fanned out over `shards` scoped
-    /// threads. Per-line state is independent, so each thread filters the
+    /// [`IncrementalEncoder::ingest`] fanned out over `shards` workers.
+    /// Per-line state is independent, so each thread filters the
     /// batch to its own contiguous line range and applies exactly the
     /// serial per-event routine — any shard count leaves identical state.
     ///
@@ -186,35 +187,20 @@ impl<'a> IncrementalEncoder<'a> {
     pub fn ingest_sharded(&mut self, measurements: &[LineTest], tickets: &[Ticket], shards: usize) {
         let _span = nevermind_obs::span!("features/ingest");
         nevermind_obs::counter_add!("features/events_ingested", measurements.len() + tickets.len());
-        let n = self.state.len();
-        let shards = shards.clamp(1, n.max(1));
-        let apply = |state: &mut [LineState], lo: usize, hi: usize| {
+        let parts = par::ranges(self.state.len(), shards.max(1));
+        let chunks = par::split_mut(&mut self.state, &parts, 1);
+        par::map(parts.into_iter().zip(chunks), |(lines, state)| {
             for m in measurements {
                 let li = m.line.index();
-                if (lo..hi).contains(&li) {
-                    state[li - lo].push_test(m.line, m.day, m.values);
+                if lines.contains(&li) {
+                    state[li - lines.start].push_test(m.line, m.day, m.values);
                 }
             }
             for t in tickets {
                 let li = t.line.index();
-                if t.is_customer_edge() && (lo..hi).contains(&li) {
-                    state[li - lo].push_ticket(t.day);
+                if t.is_customer_edge() && lines.contains(&li) {
+                    state[li - lines.start].push_ticket(t.day);
                 }
-            }
-        };
-        if shards == 1 {
-            apply(&mut self.state, 0, n);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = self.state.as_mut_slice();
-            for s in 0..shards {
-                let lo = s * n / shards;
-                let hi = (s + 1) * n / shards;
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                let apply = &apply;
-                scope.spawn(move || apply(chunk, lo, hi));
             }
         });
     }
@@ -270,7 +256,7 @@ impl<'a> IncrementalEncoder<'a> {
     }
 
     /// [`IncrementalEncoder::encode_day_cols`] fanned out over `shards`
-    /// scoped threads, each encoding a contiguous line range into a
+    /// workers, each encoding a contiguous line range into a
     /// disjoint slice of the output matrix. Bit-identical to the serial
     /// encode for any shard count: both paths run the same per-line
     /// routine, and rows never interact.
@@ -307,17 +293,20 @@ impl<'a> IncrementalEncoder<'a> {
             .collect();
 
         let n_rows = self.lines.len();
-        let shards = shards.clamp(1, n_rows.max(1));
         let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
         let mut values = vec![0.0f32; n_rows * cols.len()];
         let mut rows = vec![RowKey { line: LineId(0), day }; n_rows];
         let mut labels = vec![false; n_rows];
 
-        let encode_range = |state: &mut [LineState],
-                            vals: &mut [f32],
-                            rks: &mut [RowKey],
-                            lbs: &mut [bool],
-                            lo: usize| {
+        let parts = par::ranges(n_rows, shards.max(1));
+        let work = parts
+            .iter()
+            .map(|r| r.start)
+            .zip(par::split_mut(&mut self.state, &parts, 1))
+            .zip(par::split_mut(&mut values, &parts, cols.len()))
+            .zip(par::split_mut(&mut rows, &parts, 1))
+            .zip(par::split_mut(&mut labels, &parts, 1));
+        par::map(work, |((((lo, state), vals), rks), lbs)| {
             let mut scratch = vec![f32::NAN; n_full];
             for (k, st) in state.iter_mut().enumerate() {
                 let (rk, label) = encode_line_into(
@@ -334,33 +323,7 @@ impl<'a> IncrementalEncoder<'a> {
                 rks[k] = rk;
                 lbs[k] = label;
             }
-        };
-        if shards == 1 {
-            encode_range(&mut self.state, &mut values, &mut rows, &mut labels, 0);
-        } else {
-            std::thread::scope(|scope| {
-                let mut state_rest = self.state.as_mut_slice();
-                let mut values_rest = values.as_mut_slice();
-                let mut rows_rest = rows.as_mut_slice();
-                let mut labels_rest = labels.as_mut_slice();
-                for s in 0..shards {
-                    let lo = s * n_rows / shards;
-                    let hi = (s + 1) * n_rows / shards;
-                    let n = hi - lo;
-                    let (st, tail) = std::mem::take(&mut state_rest).split_at_mut(n);
-                    state_rest = tail;
-                    let (vals, tail) =
-                        std::mem::take(&mut values_rest).split_at_mut(n * cols.len());
-                    values_rest = tail;
-                    let (rks, tail) = std::mem::take(&mut rows_rest).split_at_mut(n);
-                    rows_rest = tail;
-                    let (lbs, tail) = std::mem::take(&mut labels_rest).split_at_mut(n);
-                    labels_rest = tail;
-                    let encode_range = &encode_range;
-                    scope.spawn(move || encode_range(st, vals, rks, lbs, lo));
-                }
-            });
-        }
+        });
 
         EncodedDataset {
             data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),

@@ -2,8 +2,8 @@
 //! report assembly.
 //!
 //! The frontend (read → lex → parse → token rules) is embarrassingly
-//! parallel and runs per-file under [`std::thread::scope`], splitting the
-//! sorted file list into one contiguous chunk per available core so the
+//! parallel and runs per-file on [`nevermind_obs::par`] workers, splitting
+//! the sorted file list into one contiguous chunk per available core so the
 //! output order — and therefore the report — stays byte-deterministic.
 //! The semantic passes then run over the assembled per-crate models:
 //! `lock-order` + `no-side-effects-under-lock` share one region walker
@@ -23,6 +23,7 @@ use crate::rules::{check_file, rule_info};
 use crate::schema;
 use crate::semantic::{self, FileUnit};
 use crate::suppress;
+use nevermind_obs::par;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -332,34 +333,13 @@ enum FrontendSlot {
     Ok(FileUnit, Vec<Diagnostic>),
 }
 
-/// Runs the frontend over `files`, one contiguous chunk per core under
-/// `std::thread::scope`, returning results in file order.
+/// Runs the frontend over `files`, one contiguous chunk per core on
+/// [`nevermind_obs::par`] workers, returning results in file order.
 fn run_frontend(root: &Path, files: &[PathBuf]) -> Vec<FrontendSlot> {
-    let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let workers = workers.min(files.len()).max(1);
-    let chunk_len = files.len().div_ceil(workers);
-    let mut slots: Vec<FrontendSlot> = Vec::with_capacity(files.len());
-    slots.resize_with(files.len(), || FrontendSlot::OutOfScope);
-    if files.is_empty() {
-        return slots;
-    }
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [FrontendSlot] = &mut slots;
-        let mut offset = 0usize;
-        while offset < files.len() {
-            let take = chunk_len.min(remaining.len());
-            let (mine, rest) = remaining.split_at_mut(take);
-            remaining = rest;
-            let file_chunk = &files[offset..offset + take];
-            scope.spawn(move || {
-                for (slot, path) in mine.iter_mut().zip(file_chunk) {
-                    *slot = frontend_one(root, path);
-                }
-            });
-            offset += take;
-        }
+    let chunks = par::map(par::ranges(files.len(), 0), |r| {
+        files[r].iter().map(|path| frontend_one(root, path)).collect::<Vec<_>>()
     });
-    slots
+    chunks.into_iter().flatten().collect()
 }
 
 /// The frontend for one file.

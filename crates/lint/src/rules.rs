@@ -50,6 +50,10 @@ pub const RULES: &[RuleInfo] = &[
         summary: "profiler sampler regions (`mod sampler`) must not touch the metrics registry or allocate per sample",
     },
     RuleInfo {
+        id: "fan-out-via-par",
+        summary: "crates fan work out through nevermind_obs::par only (no hand-rolled scoped threads or core-count queries elsewhere)",
+    },
+    RuleInfo {
         id: "lock-order",
         summary: "lock acquisition order must be acyclic across the crate call graph (deadlock risk)",
     },
@@ -66,6 +70,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "HashMap/HashSet iteration output must be sorted before reaching trace/export/score sinks",
     },
 ];
+
+/// The one module allowed to spawn scoped threads and size them.
+const PAR_MODULE: &str = "crates/obs/src/par.rs";
 
 /// Returns the rule table entry for `id`, if any.
 pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
@@ -84,6 +91,7 @@ pub fn check_file(rel_path: &str, ctx: &FileContext, lexed: &Lexed) -> Vec<Diagn
     let panic_rule = ctx.kind == FileKind::Src && ctx.crate_in(PANIC_FREE_CRATES);
     let ordered_rule = ctx.crate_in(ORDERED_CRATES);
     let wallclock_rule = ctx.kind == FileKind::Src && !ctx.crate_in(WALLCLOCK_CRATES);
+    let fan_out_rule = ctx.crate_name.is_some() && rel_path != PAR_MODULE;
 
     let mut out = Vec::new();
     let mut emit = |tok: &Tok, rule: &'static str, message: String| {
@@ -203,6 +211,26 @@ pub fn check_file(rel_path: &str, ctx: &FileContext, lexed: &Lexed) -> Vec<Diagn
                 "trace-event-fields-are-static",
                 "trace event field names must be string literals so the nevermind-trace/v1 vocabulary stays enumerable; put variability in the field value"
                     .to_string(),
+            );
+        }
+
+        // --- fan-out-via-par ------------------------------------------------
+        // Every fan-out goes through `nevermind_obs::par`, which sizes the
+        // workers, splits the work and re-roots worker spans under their
+        // caller; a hand-rolled scope would orphan its spans again.
+        let scoped = t.text == "scope"
+            && i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && toks[i - 3].is_ident("thread");
+        if fan_out_rule && (scoped || t.text == "available_parallelism") {
+            emit(
+                t,
+                "fan-out-via-par",
+                format!(
+                    "`{}` hand-rolls a fan-out; use nevermind_obs::par (ranges + map), which keeps worker spans under their caller",
+                    t.text
+                ),
             );
         }
 

@@ -123,6 +123,23 @@ fn rng_fixture_flags_ambient_entropy_everywhere() {
 }
 
 #[test]
+fn fan_out_fixture_fires_everywhere_in_crates_but_the_par_module() {
+    // Library source, tests and benches alike: one helper owns fan-outs.
+    for rel in [
+        "crates/ml/src/fixture.rs",
+        "crates/dslsim/tests/fixture.rs",
+        "crates/bench/benches/fixture.rs",
+    ] {
+        let diags = lint_as("fan_out.rs", rel);
+        let lines: Vec<u32> =
+            diags.iter().filter(|d| d.rule == "fan-out-via-par").map(|d| d.line).collect();
+        assert_eq!(lines, vec![4, 5, 9], "core-count query + two scopes at {rel}: {diags:?}");
+    }
+    let diags = lint_as("fan_out.rs", "crates/obs/src/par.rs");
+    assert!(!rules_fired(&diags).contains(&"fan-out-via-par"), "the helper itself: {diags:?}");
+}
+
+#[test]
 fn lock_fixture_flags_unwrap_not_recovery() {
     let diags = lint_as("lock.rs", "crates/obs/src/fixture.rs");
     let lock_diags: Vec<_> =

@@ -10,11 +10,12 @@
 //! negatives).
 //!
 //! The trainer can fan the per-iteration stump search out across threads
-//! with `std::thread` scoped threads; results are bit-identical to the serial
-//! path because ties are broken by `(Z, feature index)` in both.
+//! with [`nevermind_obs::par`]; results are bit-identical to the serial path
+//! because ties are broken by `(Z, feature index)` in both.
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::stump::{best_stump_for_feature, BinnedDataset, Stump, StumpSearchResult, MISSING_BIN};
+use nevermind_obs::par;
 use serde::{Deserialize, Serialize};
 
 /// Training configuration for [`BStump`].
@@ -243,21 +244,8 @@ fn search_parallel(
     weights: &[f64],
     smoothing: f64,
 ) -> Option<StumpSearchResult> {
-    let n_threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(features.len());
-    if n_threads <= 1 {
-        return search_serial(binned, features, y, weights, smoothing);
-    }
-    let chunk = features.len().div_ceil(n_threads);
-    let mut per_chunk: Vec<Option<StumpSearchResult>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = features
-            .chunks(chunk)
-            .map(|fs| scope.spawn(move || search_serial(binned, fs, y, weights, smoothing)))
-            .collect();
-        for h in handles {
-            // lint:allow(no-panic-in-lib) -- re-raises a worker-thread panic instead of deadlocking
-            per_chunk.push(h.join().expect("stump search thread panicked"));
-        }
+    let per_chunk = par::map(par::ranges(features.len(), 0), |r| {
+        search_serial(binned, &features[r], y, weights, smoothing)
     });
 
     // Deterministic reduction: ties break on the lowest feature index,

@@ -26,8 +26,10 @@
 //!   curves and the paper's novel **top-N average precision** `AP(N)`
 //!   (Sec. 4.3).
 //! * [`score`] — **BatchScorer**: the trained ensemble compiled into
-//!   per-stump bin→score lookup tables for fast (and optionally parallel)
-//!   population-scale margin evaluation, bit-identical to the per-row path.
+//!   per-stump bin→score lookup tables, with one margin entry point
+//!   (`BatchScorer::margins`) that pulls feature values through a `fill`
+//!   closure — store lanes or a matrix alike — and spreads row ranges over
+//!   `nevermind_obs::par` workers, bit-identical to the per-row path.
 //! * [`select`] — the single-feature-model feature-selection framework that
 //!   ranks every candidate feature under any of the five criteria of Table 4.
 //! * [`tree`], [`bayes`] — a CART decision tree and Gaussian Naive Bayes,

@@ -2,6 +2,8 @@
 //! metrics, the predictor's top-`B` budget selection, and the locator's
 //! disposition lists.
 
+use nevermind_obs::par;
+
 /// Indices that sort `scores` in descending order.
 ///
 /// The sort is stable, so ties keep their original order (deterministic
@@ -39,8 +41,8 @@ pub fn top_k(scores: &[f64], k: usize) -> Vec<usize> {
 }
 
 /// [`top_k`] computed shard-parallel: contiguous chunks select their local
-/// top `k` on scoped threads, then the merged candidate pool is selected
-/// again under the same total order.
+/// top `k` on [`nevermind_obs::par`] workers, then the merged candidate pool
+/// is selected again under the same total order.
 ///
 /// Bit-identical to [`top_k`] for every `n_shards` (any global top-`k`
 /// index is necessarily in its own chunk's top `k`, and the final
@@ -52,25 +54,18 @@ pub fn top_k_sharded(scores: &[f64], k: usize, n_shards: usize) -> Vec<usize> {
     if k == 0 {
         return Vec::new();
     }
-    let shards = n_shards.clamp(1, scores.len());
     let total = |&a: &usize, &b: &usize| cmp_desc(scores[a], scores[b]).then(a.cmp(&b));
-    if shards == 1 {
+    let parts = par::ranges(scores.len(), n_shards.max(1));
+    if parts.len() == 1 {
         return top_k(scores, k);
     }
-    let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    std::thread::scope(|scope| {
-        for (s, out) in per_shard.iter_mut().enumerate() {
-            let lo = s * scores.len() / shards;
-            let hi = (s + 1) * scores.len() / shards;
-            scope.spawn(move || {
-                let mut idx: Vec<usize> = (lo..hi).collect();
-                if k < idx.len() {
-                    idx.select_nth_unstable_by(k - 1, total);
-                    idx.truncate(k);
-                }
-                *out = idx;
-            });
+    let per_shard = par::map(parts, |range| {
+        let mut idx: Vec<usize> = range.collect();
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k - 1, total);
+            idx.truncate(k);
         }
+        idx
     });
     let mut candidates: Vec<usize> = per_shard.into_iter().flatten().collect();
     if k < candidates.len() {

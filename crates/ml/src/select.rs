@@ -7,9 +7,9 @@
 //! budget; the baselines (Table 4) are ROC AUC, classic average precision,
 //! PCA loadings and gain ratio.
 //!
-//! Model-based criteria parallelize across features with `std::thread` scoped
-//! threads; results are deterministic because each feature's score depends
-//! only on its own column.
+//! Model-based criteria parallelize across features with
+//! [`nevermind_obs::par`]; results are deterministic because each feature's
+//! score depends only on its own column.
 
 use crate::boost::{BStump, BoostConfig};
 use crate::data::Dataset;
@@ -17,6 +17,7 @@ use crate::entropy::gain_ratio;
 use crate::metrics::{auc, average_precision, expected_top_n_average_precision};
 use crate::pca::Pca;
 use crate::stump::BinnedDataset;
+use nevermind_obs::par;
 
 /// A feature-selection criterion (Table 4 plus the paper's top-N AP).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,30 +169,12 @@ fn score_model_based(
         }
     };
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        config.threads
-    };
-    let mut scores = vec![0.0f64; n_features];
-    if threads <= 1 || n_features < 4 {
-        for (f, slot) in scores.iter_mut().enumerate() {
-            *slot = score_one(f);
-        }
-    } else {
-        let chunk = n_features.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, slot_chunk) in scores.chunks_mut(chunk).enumerate() {
-                let start = chunk_idx * chunk;
-                let score_one = &score_one;
-                scope.spawn(move || {
-                    for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                        *slot = score_one(start + off);
-                    }
-                });
-            }
-        });
-    }
+    // Fewer than four features are not worth a thread each.
+    let threads = if n_features < 4 { 1 } else { config.threads };
+    let scores = par::map(par::ranges(n_features, threads), |features| {
+        features.map(&score_one).collect::<Vec<f64>>()
+    })
+    .concat();
 
     scores.into_iter().enumerate().map(|(feature, score)| FeatureScore { feature, score }).collect()
 }

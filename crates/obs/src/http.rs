@@ -19,10 +19,11 @@
 //! | `GET /profile`            | collapsed-stack profiler dump (`a;b;c N`)   |
 //!
 //! The server is hand-rolled on [`std::net::TcpListener`] — request line
-//! plus headers only, one thread per connection, `Connection: close` — in
-//! the workspace's no-ecosystem-crates discipline. Every handler reads a
-//! point-in-time snapshot and serializes off-lock, so a scraper polling
-//! `/metrics` never stalls recorders (see
+//! plus headers only, one thread per connection up to [`MAX_CONNECTIONS`]
+//! in flight (past that the accept loop itself answers `503`),
+//! `Connection: close` — in the workspace's no-ecosystem-crates
+//! discipline. Every handler reads a point-in-time snapshot and serializes
+//! off-lock, so a scraper polling `/metrics` never stalls recorders (see
 //! [`crate::MetricsRegistry::snapshot`]).
 //!
 //! **Determinism:** handlers only *read* shared state — registry
@@ -34,7 +35,7 @@
 use crate::trace::{FieldValue, TraceEvent};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -44,6 +45,14 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection socket timeout: a stalled client cannot pin its
 /// handler thread for longer than this.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most connections handled at once. Each pins a thread for up to the 5 s
+/// socket timeout; past the cap the accept loop answers `503` itself, so
+/// idle or slow clients cannot grow the thread count without bound.
+pub const MAX_CONNECTIONS: usize = 16;
+/// How long the accept loop waits for a shed client's request head before
+/// answering `503` anyway (reading it first lets the client see the answer
+/// instead of a reset).
+const SHED_TIMEOUT: Duration = Duration::from_millis(250);
 /// Default event count for `/trace/tail` when `n` is absent.
 const DEFAULT_TAIL: usize = 100;
 /// Largest `/trace/tail?n=` a client may ask for; the ring itself is
@@ -110,16 +119,40 @@ impl Drop for ObsServer {
 }
 
 /// Accepts until the stop flag is set, spawning one detached handler
-/// thread per connection.
+/// thread per connection while fewer than [`MAX_CONNECTIONS`] are in
+/// flight, and answering `503` on this thread otherwise.
 fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
+    let in_flight = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        let Ok(stream) = stream else { continue };
-        let _ = thread::Builder::new()
-            .name("obs-http-conn".to_string())
-            .spawn(move || handle_connection(stream));
+        let Ok(mut stream) = stream else { continue };
+        // A plain count that guards no other data, so `Relaxed` suffices.
+        if in_flight.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+            let _ = stream.set_read_timeout(Some(SHED_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(SHED_TIMEOUT));
+            let _ = read_request_head(&mut stream);
+            let body = format!("busy: {MAX_CONNECTIONS} connections in flight, retry later\n");
+            Response::text(503, &body).write_to(&mut stream);
+            continue;
+        }
+        in_flight.fetch_add(1, Ordering::Relaxed);
+        let slot = InFlight(Arc::clone(&in_flight));
+        let _ = thread::Builder::new().name("obs-http-conn".to_string()).spawn(move || {
+            let _slot = slot;
+            handle_connection(stream);
+        });
+    }
+}
+
+/// One counted in-flight connection; frees its slot on drop, including
+/// when the handler panics or its thread fails to spawn.
+struct InFlight(Arc<AtomicUsize>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -27,9 +27,12 @@
 //! assert!(json.contains("fit/encode"));
 //! ```
 //!
-//! Span paths are per-thread: a span opened on a worker thread does not
-//! nest under its spawner's spans. Guards are expected to drop in LIFO
-//! order within a thread (the natural result of binding them to scopes).
+//! Span paths nest lexically within a thread, and across the workspace's
+//! fan-outs: workers started by [`par::map`] inherit their caller's open
+//! span path, so their spans record under the span that fanned out. A
+//! thread spawned any other way starts its own root. Guards are expected
+//! to drop in LIFO order within a thread (the natural result of binding
+//! them to scopes).
 //!
 //! Aggregates answer "how much"; the sibling [`trace`] module answers
 //! "*why this line*" — a bounded ring of typed decision-provenance events
@@ -57,6 +60,7 @@ pub mod distribution;
 pub mod history;
 pub mod http;
 pub mod json;
+pub mod par;
 pub mod profile;
 pub mod registry;
 pub mod rules;

@@ -85,6 +85,13 @@ pub(crate) fn pop_frame() {
     });
 }
 
+/// A copy of the calling thread's mirrored stack (empty if it never
+/// mirrored a span), for re-rooting workers under it.
+pub(crate) fn current_frames() -> Vec<&'static str> {
+    THREAD_STACK
+        .with(|cell| cell.get().map(|s| lock_recovering(&s.frames).clone()).unwrap_or_default())
+}
+
 /// A running sampler thread and its stop signal.
 struct Worker {
     stop: Arc<AtomicBool>,

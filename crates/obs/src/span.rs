@@ -1,10 +1,11 @@
-//! RAII wall-clock spans with per-thread nesting.
+//! RAII wall-clock spans with lexical nesting.
 //!
 //! Entering a span pushes its name onto a thread-local stack; dropping the
 //! guard records the elapsed nanoseconds under the `/`-joined path of the
-//! stack at that moment ("fit/select_base") and pops. Nesting is therefore
-//! purely lexical and per-thread: spans opened on worker threads start
-//! their own root.
+//! stack at that moment ("fit/select_base") and pops. Nesting is lexical
+//! within a thread; workers started by [`crate::par::map`] begin with their
+//! caller's stack, so their spans nest under the span that fanned out. A
+//! thread spawned any other way starts its own root.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -65,6 +66,55 @@ impl Drop for SpanGuard {
             path
         });
         crate::global().record_span(&path, ns);
+    }
+}
+
+/// A caller's open span path, plus the profiler's mirrored copy of it,
+/// captured so worker threads can record under it.
+#[derive(Debug)]
+pub(crate) struct Context {
+    path: Vec<&'static str>,
+    frames: Vec<&'static str>,
+}
+
+impl Context {
+    /// Captures the calling thread's stacks; `None` (one relaxed atomic
+    /// load) while recording is disabled.
+    pub(crate) fn capture() -> Option<Context> {
+        if !crate::enabled() {
+            return None;
+        }
+        let path = SPAN_STACK.with(|s| s.borrow().clone());
+        let frames =
+            if crate::profile::enabled() { crate::profile::current_frames() } else { Vec::new() };
+        Some(Context { path, frames })
+    }
+
+    /// Seeds the calling (worker) thread's stacks with the captured ones
+    /// until the returned guard drops.
+    pub(crate) fn enter(&self) -> Rooted<'_> {
+        SPAN_STACK.with(|s| s.borrow_mut().extend_from_slice(&self.path));
+        for frame in &self.frames {
+            crate::profile::push_frame(frame);
+        }
+        Rooted(self)
+    }
+}
+
+/// Undoes one [`Context::enter`] on drop.
+#[derive(Debug)]
+pub(crate) struct Rooted<'a>(&'a Context);
+
+impl Drop for Rooted<'_> {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let keep = stack.len().saturating_sub(self.0.path.len());
+            stack.truncate(keep);
+        });
+        for _ in &self.0.frames {
+            crate::profile::pop_frame();
+        }
     }
 }
 

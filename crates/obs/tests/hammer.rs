@@ -3,12 +3,19 @@
 //! the live `/metrics` endpoint's access pattern. The point-in-time
 //! snapshot must neither deadlock, panic, nor observe torn name maps,
 //! and writers must lose nothing to concurrent exports.
+//!
+//! The live server is hammered too: idle connections held open up to its
+//! in-flight cap make the next request a typed 503, and freeing them
+//! restores service.
 
-use nevermind_obs::MetricsRegistry;
+use nevermind_obs::http::MAX_CONNECTIONS;
+use nevermind_obs::{MetricsRegistry, ObsServer};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WRITERS: usize = 4;
 const READERS: usize = 4;
@@ -85,4 +92,43 @@ fn concurrent_exports_never_block_or_corrupt_writers() {
         assert_eq!(snap.series[&format!("hammer/series_{w}")].len(), ROUNDS as usize);
     }
     assert_eq!(snap.spans["hammer/span"].count, (WRITERS as u64) * ROUNDS);
+}
+
+/// One `GET` on a fresh connection; returns (status code, body).
+fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let code = raw.split_whitespace().nth(1).and_then(|c| c.parse().ok()).expect("status code");
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    (code, body)
+}
+
+#[test]
+fn idle_connections_past_the_cap_are_shed_with_503() {
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+    assert_eq!(get(addr, "/metrics").0, 200, "serves before the hammer");
+
+    // Idle clients that never send a request each pin one handler.
+    let idle: Vec<TcpStream> =
+        (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    let (code, body) = get(addr, "/metrics");
+    assert_eq!(code, 503, "past the cap: {body}");
+    assert!(body.contains("connections in flight"), "typed busy body: {body}");
+
+    // Closing them frees their handlers (EOF ends each read at once).
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (code, _) = get(addr, "/metrics");
+        if code == 200 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "still {code} after the idle clients closed");
+        thread::sleep(Duration::from_millis(10));
+    }
+    server.stop();
 }

@@ -17,6 +17,9 @@
 //!    shard counts, and an injected drift scenario reproducibly walks an
 //!    alert pending → firing and flips the live `/health` endpoint to 503.
 //!
+//! 4. Spans opened on fan-out workers nest under the span that fanned out,
+//!    so the layer view is true across threads.
+//!
 //! The tests toggle the process-global registry, so they serialise on one
 //! mutex rather than trusting the harness to run them on separate processes.
 
@@ -25,6 +28,8 @@ use nevermind::predictor::{PredictorConfig, TicketPredictor};
 use nevermind::scoring::WeeklyScorer;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_dslsim::SimConfig;
+use nevermind_ml::data::{Dataset, FeatureMatrix, FeatureMeta};
+use nevermind_ml::select::{score_features, SelectConfig, SelectionCriterion};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -173,6 +178,41 @@ fn instrumented_scoring_is_bit_identical() {
     let scored = snap.counters.get("weekly/lines_scored").copied().unwrap_or(0);
     assert_eq!(scored as usize, lit.rows.len(), "lines_scored counter matches the ranked rows");
     nevermind_obs::global().reset();
+}
+
+#[test]
+fn worker_spans_nest_under_their_caller() {
+    let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    let reg = nevermind_obs::global();
+    reg.reset();
+
+    // Eight deterministic columns, so selection fans out over two workers
+    // and every single-feature BStump fit runs on a worker thread.
+    let (n_rows, n_cols) = (400usize, 8usize);
+    let meta = (0..n_cols).map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
+    let values = (0..n_rows * n_cols).map(|i| ((i * 7 + i / n_cols * 13) % 17) as f32).collect();
+    let labels = (0..n_rows).map(|r| r % 3 == 0).collect();
+    let data = Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels);
+
+    reg.set_enabled(true);
+    {
+        let _outer = nevermind_obs::span!("test/select");
+        let cfg = SelectConfig { threads: 2, ..SelectConfig::default() };
+        score_features(&data, &data, SelectionCriterion::Auc, &cfg);
+    }
+    reg.set_enabled(false);
+    let spans = reg.snapshot().spans;
+    reg.reset();
+
+    let keys: Vec<&String> = spans.keys().collect();
+    assert!(
+        !keys.iter().any(|k| k.starts_with("ml/bstump_fit")),
+        "a worker span became an orphan root: {keys:?}"
+    );
+    let nested = spans
+        .get("test/select/ml/score_features/ml/bstump_fit")
+        .unwrap_or_else(|| panic!("worker fits nest under their caller: {keys:?}"));
+    assert_eq!(nested.count, n_cols as u64, "one fit per feature");
 }
 
 /// One blocking HTTP/1.1 GET against the live plane; returns (status code,
